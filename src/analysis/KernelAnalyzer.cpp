@@ -9,6 +9,7 @@
 #include "analysis/Uniformity.h"
 #include "ir/BasicBlock.h"
 #include "ir/Module.h"
+#include "ir/OpSemantics.h"
 
 #include <unordered_map>
 #include <unordered_set>
@@ -75,7 +76,9 @@ AllocaInst *resolveBuffer(Value *Ptr, int64_t &ByteOffset, bool &AllConst) {
   AllConst = true;
   while (auto *PA = dyn_cast<PtrAddInst>(Ptr)) {
     if (auto *C = dyn_cast<ConstantInt>(PA->getIndex()))
-      ByteOffset += C->getSExtValue() * static_cast<int64_t>(PA->getElemSize());
+      ByteOffset = static_cast<int64_t>(sem::evalPtrAdd(
+          static_cast<uint64_t>(ByteOffset), C->getType(),
+          static_cast<uint64_t>(C->getSExtValue()), PA->getElemSize()));
     else
       AllConst = false;
     Ptr = PA->getBase();

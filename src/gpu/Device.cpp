@@ -9,6 +9,8 @@
 #include "codegen/ObjectFile.h"
 
 #include <algorithm>
+#include <bit>
+#include <cassert>
 #include <cstring>
 
 using namespace proteus;
@@ -43,31 +45,12 @@ void LaunchStats::accumulate(const LaunchStats &O) {
 }
 
 L2Cache::L2Cache(uint64_t SizeBytes, unsigned LineBytes, unsigned Ways)
-    : LineBytes(LineBytes), Ways(Ways),
+    : LineShift(static_cast<unsigned>(std::countr_zero(LineBytes))),
+      Ways(Ways),
       NumSets(std::max<uint64_t>(1, SizeBytes / LineBytes / Ways)),
-      Tags(NumSets * Ways, 0), LastUsed(NumSets * Ways, 0) {}
-
-bool L2Cache::access(uint64_t Address) {
-  uint64_t Line = Address / LineBytes + 1; // +1 so tag 0 means empty
-  size_t Set = static_cast<size_t>(Line % NumSets);
-  uint64_t *SetTags = &Tags[Set * Ways];
-  uint32_t *SetUsed = &LastUsed[Set * Ways];
-  ++Clock;
-  unsigned VictimWay = 0;
-  uint32_t VictimStamp = ~0u;
-  for (unsigned W = 0; W != Ways; ++W) {
-    if (SetTags[W] == Line) {
-      SetUsed[W] = Clock;
-      return true;
-    }
-    if (SetUsed[W] < VictimStamp) {
-      VictimStamp = SetUsed[W];
-      VictimWay = W;
-    }
-  }
-  SetTags[VictimWay] = Line;
-  SetUsed[VictimWay] = Clock;
-  return false;
+      SetMask(std::has_single_bit(NumSets) ? NumSets - 1 : 0),
+      Tags(NumSets * Ways, 0), LastUsed(NumSets * Ways, 0) {
+  assert(std::has_single_bit(LineBytes) && "L2 line size must be 2^k");
 }
 
 void L2Cache::reset() {
@@ -77,7 +60,7 @@ void L2Cache::reset() {
 }
 
 Device::Device(const TargetInfo &Target, uint64_t MemoryBytes)
-    : Target(Target), Memory(MemoryBytes, 0), L2(Target.L2Bytes, 128, 16) {
+    : Target(Target), Memory(MemoryBytes), L2(Target.L2Bytes, 128, 16) {
   // Stream 0 is the legacy default stream; it always exists.
   Streams.emplace_back(new Stream(*this, 0));
 }
@@ -210,6 +193,8 @@ LoadedKernel *Device::loadKernel(const std::vector<uint8_t> &Object,
         static_cast<int64_t>(Addr);
   }
   auto LK = std::make_unique<LoadedKernel>();
+  if (!decodeKernel(R.MF, LK->Code, Error))
+    return nullptr;
   LK->MF = std::move(R.MF);
   LK->Arch = R.Arch;
   Kernels.push_back(std::move(LK));

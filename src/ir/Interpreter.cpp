@@ -212,10 +212,8 @@ private:
     }
     case ValueKind::PtrAdd: {
       auto &P = cast<PtrAddInst>(I);
-      uint64_t Base = get(P.getBase());
-      int64_t Idx = sem::signExtend(P.getIndex()->getType(),
-                                    get(P.getIndex()));
-      Values[&I] = Base + static_cast<uint64_t>(Idx * P.getElemSize());
+      Values[&I] = sem::evalPtrAdd(get(P.getBase()), P.getIndex()->getType(),
+                                   get(P.getIndex()), P.getElemSize());
       break;
     }
     case ValueKind::AtomicAdd: {

@@ -77,6 +77,29 @@ inline int64_t signExtend(Type *Ty, uint64_t Bits) {
   }
 }
 
+/// IEEE arithmetic \p X <op> \p Y with a pinned NaN result. When both
+/// operands are NaN the hardware returns one of them, quieted, and which one
+/// depends on the operand order the compiler happens to emit for a
+/// commutative operation, so two compiled copies of the same expression can
+/// disagree on the payload. Here the first NaN operand always wins (X + X
+/// quiets it whatever the order); a NaN made from non-NaN operands is the
+/// hardware default NaN either way.
+template <typename T, typename Op> inline T fpArith(T X, T Y, Op Fn) {
+  T R = Fn(X, Y);
+  if (R != R && (X != X || Y != Y))
+    return X != X ? X + X : Y + Y;
+  return R;
+}
+
+/// Address arithmetic of PtrAdd: \p Base + sext(\p Idx) * \p ElemSize,
+/// wrapping modulo 2^64. The product is computed unsigned: the signed
+/// 64-bit multiply overflows (undefined behavior) for large indices, and
+/// the unsigned one gives the same bits wherever the signed one is defined.
+inline uint64_t evalPtrAdd(uint64_t Base, Type *IdxTy, uint64_t Idx,
+                           uint64_t ElemSize) {
+  return Base + static_cast<uint64_t>(signExtend(IdxTy, Idx)) * ElemSize;
+}
+
 /// Evaluates a binary operation of kind \p K on operand type \p Ty.
 inline uint64_t evalBinary(ValueKind K, Type *Ty, uint64_t A, uint64_t B) {
   const bool IsF32 = Ty->isF32();
@@ -123,13 +146,21 @@ inline uint64_t evalBinary(ValueKind K, Type *Ty, uint64_t A, uint64_t B) {
   case ValueKind::AShr:
     return maskToType(Ty, static_cast<uint64_t>(SA >> ShAmt));
   case ValueKind::FAdd:
-    return FoldFP([](auto X, auto Y) { return X + Y; });
+    return FoldFP([](auto X, auto Y) {
+      return fpArith(X, Y, [](auto P, auto Q) { return P + Q; });
+    });
   case ValueKind::FSub:
-    return FoldFP([](auto X, auto Y) { return X - Y; });
+    return FoldFP([](auto X, auto Y) {
+      return fpArith(X, Y, [](auto P, auto Q) { return P - Q; });
+    });
   case ValueKind::FMul:
-    return FoldFP([](auto X, auto Y) { return X * Y; });
+    return FoldFP([](auto X, auto Y) {
+      return fpArith(X, Y, [](auto P, auto Q) { return P * Q; });
+    });
   case ValueKind::FDiv:
-    return FoldFP([](auto X, auto Y) { return X / Y; });
+    return FoldFP([](auto X, auto Y) {
+      return fpArith(X, Y, [](auto P, auto Q) { return P / Q; });
+    });
   case ValueKind::Pow:
     if (IsF32)
       return boxF32(std::pow(unboxF32(A), unboxF32(B)));

@@ -130,7 +130,7 @@ ReplayResult proteus::replayArtifact(const capture::CaptureArtifact &A,
   R.SimulatedSeconds = Dev.simulatedSeconds();
 
   // Byte-exact differential check of every captured region.
-  const std::vector<uint8_t> &Mem = Dev.memory();
+  const gpu::DeviceMemory &Mem = Dev.memory();
   R.OutputMatch = true;
   for (const capture::MemoryRegion &Region : A.Regions) {
     if (std::memcmp(Mem.data() + Region.Address, Region.PostBytes.data(),

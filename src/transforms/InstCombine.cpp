@@ -89,10 +89,9 @@ Value *proteus::constantFoldInstruction(Instruction &I, Context &Ctx) {
     auto &P = cast<PtrAddInst>(I);
     if (!isConstantOperand(P.getBase()) || !isConstantOperand(P.getIndex()))
       return nullptr;
-    int64_t Idx = sem::signExtend(P.getIndex()->getType(),
-                                  constBits(P.getIndex()));
-    return Ctx.getConstantPtr(constBits(P.getBase()) +
-                              static_cast<uint64_t>(Idx * P.getElemSize()));
+    return Ctx.getConstantPtr(sem::evalPtrAdd(
+        constBits(P.getBase()), P.getIndex()->getType(),
+        constBits(P.getIndex()), P.getElemSize()));
   }
   default:
     break;

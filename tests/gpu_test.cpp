@@ -23,6 +23,10 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+
+#include <unistd.h>
+
 using namespace pir;
 using namespace proteus;
 using namespace proteus::gpu;
@@ -53,6 +57,93 @@ TEST(DeviceTest, GlobalsRegisterOnceAndResolve) {
   EXPECT_EQ(Dev.getSymbolAddress("state"), P1);
   EXPECT_EQ(Dev.getSymbolAddress("ghost"), 0u);
   EXPECT_EQ(Dev.memory()[P1 + 2], 3);
+}
+
+/// Resident set size of this process in bytes (/proc/self/statm).
+uint64_t residentBytes() {
+  std::ifstream In("/proc/self/statm");
+  uint64_t Size = 0, Resident = 0;
+  In >> Size >> Resident;
+  return Resident * static_cast<uint64_t>(::sysconf(_SC_PAGESIZE));
+}
+
+TEST(DeviceMemoryTest, FreshDeviceReadsZeroAndWritesReadBack) {
+  Device Dev(getAmdGcnSimTarget(), 1 << 20);
+  DeviceMemory &Mem = Dev.memory();
+  ASSERT_EQ(Mem.size(), 1u << 20);
+  EXPECT_EQ(Mem[0], 0);
+  EXPECT_EQ(Mem[Mem.size() / 2], 0);
+  EXPECT_EQ(Mem[Mem.size() - 1], 0);
+  Mem[12345] = 0xAB;
+  Mem.data()[Mem.size() - 1] = 7;
+  EXPECT_EQ(Mem[12345], 0xAB);
+  EXPECT_EQ(*(Mem.end() - 1), 7);
+  EXPECT_EQ(Mem[12344], 0);
+}
+
+TEST(DeviceMemoryTest, ComparesAndAssignsAgainstHostImages) {
+  Device Dev(getNvPtxSimTarget(), 3 * 4096 + 100); // partial last page
+  std::vector<uint8_t> Image = Dev.memory();
+  EXPECT_EQ(Image.size(), Dev.memory().size());
+  EXPECT_TRUE(Dev.memory() == Image);
+  EXPECT_TRUE(Image == Dev.memory());
+
+  Image[5000] = 1;
+  Image.back() = 2;
+  EXPECT_TRUE(Dev.memory() != Image);
+  Dev.memory() = Image;
+  EXPECT_EQ(Dev.memory(), Image);
+  EXPECT_EQ(Dev.memory()[5000], 1);
+
+  // Restoring an all-zero snapshot zeroes written pages again.
+  Dev.memory()[100] = 9;
+  std::vector<uint8_t> Zeros(Image.size(), 0);
+  Dev.memory() = Zeros;
+  EXPECT_EQ(Dev.memory(), Zeros);
+
+  // A snapshot of another size resizes the device image, as a vector would.
+  std::vector<uint8_t> Small(64, 3);
+  Dev.memory() = Small;
+  EXPECT_EQ(Dev.memory().size(), 64u);
+  EXPECT_EQ(Dev.memory(), Small);
+}
+
+TEST(DeviceMemoryTest, OutOfRangeLoadFailsAtTheSameAddress) {
+  Context Ctx;
+  Module M(Ctx, "m");
+  IRBuilder B(Ctx);
+  Function *F = M.createFunction("ld", Ctx.getVoidTy(),
+                                 {Ctx.getPtrTy(), Ctx.getPtrTy()},
+                                 {"in", "out"}, FunctionKind::Kernel);
+  B.setInsertPoint(F->createBlock("entry", Ctx.getVoidTy()));
+  B.createStore(B.createLoad(Ctx.getI64Ty(), F->getArg(0)), F->getArg(1));
+  B.createRet();
+  const uint64_t Bytes = 1 << 16;
+  Device Dev(getAmdGcnSimTarget(), Bytes);
+  std::vector<uint8_t> Obj = compileKernelToObject(*F, getAmdGcnSimTarget());
+  LoadedKernel *K = nullptr;
+  std::string Err;
+  ASSERT_EQ(gpuModuleLoad(Dev, &K, Obj, &Err), GpuError::Success) << Err;
+  // The last in-range 8-byte load succeeds; one byte further fails.
+  EXPECT_EQ(gpuLaunchKernel(Dev, *K, Dim3{1, 1, 1}, Dim3{1, 1, 1},
+                            {{Bytes - 8}, {64}}, &Err),
+            GpuError::Success)
+      << Err;
+  EXPECT_EQ(gpuLaunchKernel(Dev, *K, Dim3{1, 1, 1}, Dim3{1, 1, 1},
+                            {{Bytes - 7}, {64}}, &Err),
+            GpuError::LaunchFailure);
+  EXPECT_NE(Err.find("load out of bounds at 0xfff9 in ld"), std::string::npos)
+      << Err;
+}
+
+TEST(DeviceMemoryTest, UntouchedPagesAreNotResident) {
+  const uint64_t Before = residentBytes();
+  Device Dev(getAmdGcnSimTarget(), 256ull << 20);
+  Dev.memory()[Dev.memory().size() / 2] = 1;
+  const uint64_t After = residentBytes();
+  EXPECT_LT(After, Before + (16ull << 20))
+      << "a 256 MiB device with one touched page grew RSS by "
+      << (After - Before) << " bytes";
 }
 
 TEST(RuntimeTest, MemcpyRoundTripAndSimTime) {
