@@ -481,21 +481,36 @@ std::shared_ptr<const KernelModuleIndex>
 JitRuntime::getOrBuildIndex(const std::string &Symbol,
                             const std::vector<uint8_t> &Bitcode,
                             std::string *Error) {
+  auto findIndex = [&]() -> std::shared_ptr<const KernelModuleIndex> {
+    auto It = ModuleIndexes.find(Symbol);
+    return It == ModuleIndexes.end() ? nullptr : It->second;
+  };
+  std::shared_ptr<std::mutex> BuildLock;
   {
     std::lock_guard<std::mutex> Lock(IndexMutex);
-    auto It = ModuleIndexes.find(Symbol);
-    if (It != ModuleIndexes.end())
-      return It->second;
+    if (auto Found = findIndex())
+      return Found;
+    if (Bitcode.empty()) {
+      if (Error)
+        *Error = "no parsed module index for @" + Symbol +
+                 " and no bitcode to build one";
+      return nullptr;
+    }
+    std::shared_ptr<std::mutex> &L = IndexBuildLocks[Symbol];
+    if (!L)
+      L = std::make_shared<std::mutex>();
+    BuildLock = L;
   }
-  if (Bitcode.empty()) {
-    if (Error)
-      *Error = "no parsed module index for @" + Symbol +
-               " and no bitcode to build one";
-    return nullptr;
+  // Parse outside IndexMutex, so first compiles of different kernels do not
+  // serialize on parsing, but under the kernel's build lock: racing first
+  // compiles of the same kernel (say a Tier-0 compile and a migration
+  // retarget) wait for one parse instead of each parsing.
+  std::lock_guard<std::mutex> Build(*BuildLock);
+  {
+    std::lock_guard<std::mutex> Lock(IndexMutex);
+    if (auto Found = findIndex())
+      return Found;
   }
-  // Parse outside the lock: first compiles of different kernels must not
-  // serialize on parsing. Racing builders of the same kernel both parse;
-  // the first insert wins and the loser's copy is dropped.
   std::string ParseError;
   Stat.BitcodeParses->add();
   std::shared_ptr<const KernelModuleIndex> Index = [&] {

@@ -694,6 +694,9 @@ private:
   std::mutex IndexMutex;
   std::map<std::string, std::shared_ptr<const KernelModuleIndex>>
       ModuleIndexes;
+  /// Per-symbol build locks (guarded by IndexMutex): racing first compiles
+  /// of one kernel wait for a single parse instead of each parsing.
+  std::map<std::string, std::shared_ptr<std::mutex>> IndexBuildLocks;
 
   /// Specialization-hash memo: kernel symbol -> (folded argument bits,
   /// launch-bounds threads) -> hash. Valid because ModuleId, Arch and each
